@@ -17,6 +17,13 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
+echo "==> e2ebench module: vet, build, test"
+# The benchmark is its own Go module (e2ebench/go.mod, replace gpunoc =>
+# ../) and imports internal/noc and internal/perfbench, so the root
+# ./... patterns above skip it: without this step an internal API change
+# could break the benchmark while the gate stays green.
+(cd e2ebench && go vet ./... && go test ./...)
+
 echo "==> noclint -baseline (per-package + interprocedural analyzers, ratchet)"
 # The committed baseline is empty: every analyzer must run clean, and
 # the ratchet fails both on new findings and on stale baseline entries.

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"sort"
@@ -37,10 +38,12 @@ func sortedKeys[V any](m map[string]V) []string {
 //     enclosing declared function. A closure built in a hot function is
 //     analyzed as part of that function.
 //   - Calls through an interface cannot be resolved statically without
-//     whole-program type flow, so they fall back to conservative name
-//     dispatch: an edge to every module method with the same name. This
-//     over-approximates (unrelated same-named methods become reachable)
-//     and never under-approximates within the loaded package set.
+//     whole-program type flow, so they fall back to conservative
+//     dispatch: an edge to every module method with the same name and
+//     the same parameter and result counts, the only methods that can
+//     satisfy the interface method. This over-approximates (unrelated
+//     methods that happen to match become reachable) and never
+//     under-approximates within the loaded package set.
 //   - Calls through plain function-typed values resolve to nothing. The
 //     reference that produced the value already created an edge at the
 //     point the function was named, so the only escape is a function
@@ -59,7 +62,27 @@ type Program struct {
 	nodes      map[string]*cgNode
 	// methodsByName indexes method nodes for conservative interface
 	// dispatch.
-	methodsByName map[string][]string
+	methodsByName map[string][]methodRef
+}
+
+// methodRef is one method node as interface dispatch sees it.
+type methodRef struct {
+	id string
+	// shape is the method's signatureShape, or "" when the declaration
+	// did not type-check; an unknown shape matches every call.
+	shape string
+}
+
+// dynCall is one method invoked through an interface.
+type dynCall struct{ name, shape string }
+
+// signatureShape is what an interface method and a method satisfying it
+// must share: parameter and result counts and variadicity. Types are
+// not compared, because generic instantiation spells them differently;
+// the counts already keep apart same-named methods such as
+// noc.Network.Step() and workload.BFS.Step(int).
+func signatureShape(sig *types.Signature) string {
+	return fmt.Sprintf("%d/%d/%t", sig.Params().Len(), sig.Results().Len(), sig.Variadic())
 }
 
 // cgNode is one declared function or method of the module.
@@ -70,8 +93,8 @@ type cgNode struct {
 	// calls holds resolved module-local callee IDs (including plain
 	// references; see "reference = may-call" above).
 	calls []string
-	// dynCalls holds method names invoked through interfaces.
-	dynCalls []string
+	// dynCalls holds methods invoked through interfaces.
+	dynCalls []dynCall
 }
 
 // NewProgram builds the call graph over the given packages.
@@ -79,7 +102,7 @@ func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Packages:      pkgs,
 		nodes:         map[string]*cgNode{},
-		methodsByName: map[string][]string{},
+		methodsByName: map[string][]methodRef{},
 	}
 	if len(pkgs) > 0 {
 		prog.modulePath = modulePathOf(pkgs[0])
@@ -116,10 +139,14 @@ func (prog *Program) addNode(p *Package, fn *ast.FuncDecl) {
 	n := &cgNode{id: id, pkg: p, decl: fn}
 	prog.nodes[id] = n
 	if fn.Recv != nil {
-		prog.methodsByName[fn.Name.Name] = append(prog.methodsByName[fn.Name.Name], id)
+		ref := methodRef{id: id}
+		if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok && obj != nil {
+			ref.shape = signatureShape(obj.Type().(*types.Signature))
+		}
+		prog.methodsByName[fn.Name.Name] = append(prog.methodsByName[fn.Name.Name], ref)
 	}
 	seen := map[string]bool{}
-	dynSeen := map[string]bool{}
+	dynSeen := map[dynCall]bool{}
 	ast.Inspect(fn.Body, func(node ast.Node) bool {
 		ident, ok := node.(*ast.Ident)
 		if !ok {
@@ -135,10 +162,12 @@ func (prog *Program) addNode(p *Package, fn *ast.FuncDecl) {
 		}
 		sig, ok := callee.Type().(*types.Signature)
 		if ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-			// Interface method: conservative dispatch by name.
-			if !dynSeen[callee.Name()] {
-				dynSeen[callee.Name()] = true
-				n.dynCalls = append(n.dynCalls, callee.Name())
+			// Interface method: conservative dispatch by name and
+			// signature shape.
+			dc := dynCall{name: callee.Name(), shape: signatureShape(sig)}
+			if !dynSeen[dc] {
+				dynSeen[dc] = true
+				n.dynCalls = append(n.dynCalls, dc)
 			}
 			return true
 		}
@@ -253,7 +282,7 @@ func (prog *Program) isHotRoot(fn *ast.FuncDecl) bool {
 // Reachable walks the graph from the given roots and returns, for every
 // reachable node ID, the root it was first reached from (roots map to
 // themselves). Dynamic (interface) calls fan out to every module method
-// sharing the callee's name. Recursion and cycles terminate because each
+// sharing the callee's name and signature shape. Recursion and cycles terminate because each
 // node is visited once.
 func (prog *Program) Reachable(roots []string) map[string]string {
 	from := map[string]string{}
@@ -285,9 +314,11 @@ func (prog *Program) Reachable(roots []string) map[string]string {
 		for _, callee := range n.calls {
 			visit(callee)
 		}
-		for _, name := range n.dynCalls {
-			for _, callee := range prog.methodsByName[name] {
-				visit(callee)
+		for _, dc := range n.dynCalls {
+			for _, m := range prog.methodsByName[dc.name] {
+				if m.shape == "" || m.shape == dc.shape {
+					visit(m.id)
+				}
 			}
 		}
 	}

@@ -91,8 +91,9 @@ func TestStaleIgnore(t *testing.T) {
 
 // TestCallGraphReachability pins the graph's conservatism on the shapes
 // that matter: recursion terminates, a method value creates a may-call
-// edge, an interface call fans out to every same-named module method,
-// and unreferenced functions stay unreachable.
+// edge, an interface call fans out to every module method with the same
+// name and signature shape (and to no same-named method of another
+// shape), and unreferenced functions stay unreachable.
 func TestCallGraphReachability(t *testing.T) {
 	p := loadFixture(t, "callgraph")
 	prog := NewProgram([]*Package{p})
@@ -114,6 +115,9 @@ func TestCallGraphReachability(t *testing.T) {
 		if !short[want] {
 			t.Errorf("%s not reachable; got %v", want, short)
 		}
+	}
+	if short["(*C).Walk"] {
+		t.Errorf("(*C).Walk(int) cannot satisfy Walker but was reached; got %v", short)
 	}
 	if short["lonely"] {
 		t.Errorf("lonely is unreachable by construction but was reached; got %v", short)

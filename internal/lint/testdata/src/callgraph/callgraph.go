@@ -17,6 +17,13 @@ func (a *A) Walk() { a.n++ }
 // Walk advances B.
 func (b *B) Walk() { b.n++ }
 
+// C has a Walk of another signature, so it cannot satisfy Walker and an
+// interface call to Walker.Walk must not reach it.
+type C struct{ n int }
+
+// Walk advances C by steps.
+func (c *C) Walk(steps int) { c.n += steps }
+
 // Sim drives the fixture shapes.
 type Sim struct {
 	w Walker
@@ -25,7 +32,7 @@ type Sim struct {
 
 // Step is the hot root: recursion via spin, a method value handed off
 // (reference = may-call), and an interface call resolved by
-// conservative name dispatch.
+// conservative name-and-shape dispatch.
 func (s *Sim) Step() {
 	spin(3)
 	s.f = s.helper

@@ -74,6 +74,11 @@ func TestFairnessValidation(t *testing.T) {
 		t.Error("bad MC node should fail")
 	}
 	cfg = DefaultFairnessConfig(RoundRobin, 1)
+	cfg.MCs = []int{30, 31, 30}
+	if _, err := RunFairness(cfg); err == nil {
+		t.Error("duplicate MC node should fail")
+	}
+	cfg = DefaultFairnessConfig(RoundRobin, 1)
 	cfg.Mesh.Width, cfg.Mesh.Height = 1, 1
 	cfg.MCs = []int{0}
 	if _, err := RunFairness(cfg); err == nil {
@@ -139,6 +144,11 @@ func TestGPUSimValidation(t *testing.T) {
 	bad.MCs = []int{-3}
 	if _, err := RunGPUSim(bad); err == nil {
 		t.Error("bad MC should fail")
+	}
+	bad = DefaultGPUSimConfig(1)
+	bad.MCs = []int{30, 30}
+	if _, err := RunGPUSim(bad); err == nil {
+		t.Error("duplicate MC should fail; it would be serviced and counted twice")
 	}
 }
 

@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"gpunoc/internal/obs"
 )
@@ -48,9 +47,6 @@ type FairnessResult struct {
 
 // RunFairness executes the experiment.
 func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
-	if cfg.PacketFlits <= 0 {
-		return nil, fmt.Errorf("noc: fairness packet size %d invalid", cfg.PacketFlits)
-	}
 	if cfg.Cycles <= 0 {
 		return nil, fmt.Errorf("noc: fairness cycles %d invalid", cfg.Cycles)
 	}
@@ -59,66 +55,32 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 		return nil, err
 	}
 	m.Observe(cfg.Obs)
-	mcs := cfg.MCs
-	if len(mcs) == 0 {
-		for x := 0; x < cfg.Mesh.Width; x++ {
-			mcs = append(mcs, m.NodeAt(x, cfg.Mesh.Height-1))
-		}
+	mcs, compute, err := SplitMCs(cfg.Mesh, cfg.MCs)
+	if err != nil {
+		return nil, err
 	}
-	isMC := make(map[int]bool, len(mcs))
-	for _, n := range mcs {
-		if n < 0 || n >= m.Nodes() {
-			return nil, fmt.Errorf("noc: MC node %d out of range", n)
-		}
-		isMC[n] = true
+	s, err := newSource(m, compute, mcs, cfg.PacketFlits, cfg.InjectRate, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	var compute []int
-	for n := 0; n < m.Nodes(); n++ {
-		if !isMC[n] {
-			compute = append(compute, n)
-		}
-	}
-	if len(compute) == 0 {
-		return nil, fmt.Errorf("noc: no compute nodes left")
-	}
+	return measureFairness(s, m.AcceptedPackets, cfg.Warmup, cfg.Cycles)
+}
 
-	if cfg.InjectRate <= 0 {
-		return nil, fmt.Errorf("noc: fairness injection rate %v invalid", cfg.InjectRate)
+// measureFairness runs the source through warmup and measurement and
+// reports each source's accepted packets per measured cycle. accepted
+// is the network's live per-source delivery counter.
+func measureFairness(s *source, accepted []int64, warmup, cycles int) (*FairnessResult, error) {
+	if err := s.run(warmup); err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Bernoulli sources at the configured offered load, with a bounded
-	// source queue: a stalled source stops generating, like a core whose
-	// MSHRs are full.
-	topUp := func() {
-		for _, src := range compute {
-			if rng.Float64() >= cfg.InjectRate {
-				continue
-			}
-			if m.PendingInjection(src) > 16*cfg.PacketFlits {
-				continue
-			}
-			dst := mcs[rng.Intn(len(mcs))]
-			if _, err := m.Inject(src, dst, cfg.PacketFlits, nil); err != nil {
-				panic(err) // indices are validated above
-			}
-		}
+	base := append([]int64(nil), accepted...)
+	if err := s.run(cycles); err != nil {
+		return nil, err
 	}
-
-	for c := 0; c < cfg.Warmup; c++ {
-		topUp()
-		m.Step()
-	}
-	base := make([]int64, m.Nodes())
-	copy(base, m.AcceptedPackets)
-	for c := 0; c < cfg.Cycles; c++ {
-		topUp()
-		m.Step()
-	}
-
-	res := &FairnessResult{ComputeNodes: compute, MCs: mcs}
+	res := &FairnessResult{ComputeNodes: s.srcs, MCs: s.dsts}
 	minT, maxT := math.MaxFloat64, 0.0
-	for _, src := range compute {
-		tp := float64(m.AcceptedPackets[src]-base[src]) / float64(cfg.Cycles)
+	for _, src := range s.srcs {
+		tp := float64(accepted[src]-base[src]) / float64(cycles)
 		res.Throughput = append(res.Throughput, tp)
 		if tp < minT {
 			minT = tp

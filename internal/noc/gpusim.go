@@ -188,28 +188,18 @@ func newGPUSim(cfg GPUSimConfig) (*gpuSim, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &gpuSim{cfg: cfg, reqFlits: reqFlits, reqNet: reqNet, repNet: repNet}
-	g.mcs = cfg.MCs
-	if len(g.mcs) == 0 {
-		for x := 0; x < cfg.Mesh.Width; x++ {
-			g.mcs = append(g.mcs, reqNet.NodeAt(x, cfg.Mesh.Height-1))
-		}
+	mcs, compute, err := SplitMCs(cfg.Mesh, cfg.MCs)
+	if err != nil {
+		return nil, err
 	}
+	g := &gpuSim{cfg: cfg, reqFlits: reqFlits, reqNet: reqNet, repNet: repNet, mcs: mcs, compute: compute}
 	g.mcStates = make([]*mcState, reqNet.Nodes())
 	for _, n := range g.mcs {
-		if n < 0 || n >= reqNet.Nodes() {
-			return nil, fmt.Errorf("noc: MC node %d out of range", n)
-		}
 		st := &mcState{node: n, queueCap: cfg.MCQueue}
 		g.mcStates[n] = st
 		reqNet.SetSink(n, st)
 	}
 	g.outstanding = make([]int, reqNet.Nodes())
-	for n := 0; n < reqNet.Nodes(); n++ {
-		if g.mcStates[n] == nil {
-			g.compute = append(g.compute, n)
-		}
-	}
 	// Reply completion decrements the source's outstanding window.
 	for _, n := range g.compute {
 		node := n
@@ -240,17 +230,15 @@ func newGPUSim(cfg GPUSimConfig) (*gpuSim, error) {
 }
 
 // issue lets every compute node fill its outstanding window with read
-// requests to seeded-random MCs. The request packet's Src field already
-// names the node the reply must return to, so no payload is attached:
-// boxing the source index into the any-typed payload parameter was a
-// per-request heap allocation on this path.
+// requests to seeded-random MCs. The request packet's Src field names
+// the node the reply must return to.
 //
 //lint:hotpath per-cycle request-issue loop; runs every simulated cycle
 func (g *gpuSim) issue() error {
 	for _, n := range g.compute {
 		for g.outstanding[n] < g.cfg.WindowPerCompute && g.reqNet.PendingInjection(n) < 4*g.reqFlits {
 			dst := g.mcs[g.rng.Intn(len(g.mcs))]
-			if _, err := g.reqNet.Inject(n, dst, g.reqFlits, nil); err != nil {
+			if _, err := g.reqNet.Inject(n, dst, g.reqFlits); err != nil {
 				return err
 			}
 			g.outstanding[n]++
@@ -277,7 +265,7 @@ func (g *gpuSim) serviceMCs(measuring bool) (busyNow int, injected int64, err er
 		if st.pendingReply != nil && cycle >= st.busyUntil {
 			src := st.pendingReply.Src
 			if g.repNet.PendingInjection(st.node) < 2*g.cfg.ReplyFlits {
-				if _, err := g.repNet.Inject(st.node, src, g.cfg.ReplyFlits, nil); err != nil {
+				if _, err := g.repNet.Inject(st.node, src, g.cfg.ReplyFlits); err != nil {
 					return 0, 0, err
 				}
 				injected++

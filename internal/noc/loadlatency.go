@@ -5,7 +5,6 @@ import (
 	"gpunoc/internal/units"
 
 	"fmt"
-	"math/rand"
 )
 
 // This file adds the classic NoC characterization sweep - average packet
@@ -32,6 +31,28 @@ func (s *latencySink) Accept(p *Packet, lastFlit bool, cycle int64) bool {
 		s.latencySum += cycle - p.CreatedAt
 	}
 	return true
+}
+
+// latencySinks holds one latencySink per memory controller.
+type latencySinks []latencySink
+
+// installLatencySinks puts a latencySink at every MC node of m.
+func installLatencySinks(m *Mesh, mcs []int, measureFrom int64) latencySinks {
+	sinks := make(latencySinks, len(mcs))
+	for i, n := range mcs {
+		sinks[i].measureFrom = measureFrom
+		m.SetSink(n, &sinks[i])
+	}
+	return sinks
+}
+
+// totals sums delivered packets and their latencies over every sink.
+func (ss latencySinks) totals() (packets, latencySum int64) {
+	for i := range ss {
+		packets += ss[i].packets
+		latencySum += ss[i].latencySum
+	}
+	return packets, latencySum
 }
 
 // LoadPoint is one point of a load-latency sweep.
@@ -76,66 +97,32 @@ func RunLoadLatency(cfg LoadLatencyConfig) ([]LoadPoint, error) {
 	if len(cfg.Rates) == 0 {
 		return nil, fmt.Errorf("noc: no rates to sweep")
 	}
-	if cfg.PacketFlits <= 0 || cfg.Cycles <= 0 {
-		return nil, fmt.Errorf("noc: invalid load-latency parameters")
+	if cfg.Cycles <= 0 {
+		return nil, fmt.Errorf("noc: load-latency cycles %d invalid", cfg.Cycles)
 	}
 	points := make([]LoadPoint, 0, len(cfg.Rates))
 	for _, rate := range cfg.Rates {
-		if rate <= 0 {
-			return nil, fmt.Errorf("noc: non-positive rate %v", rate)
-		}
 		m, err := NewMesh(cfg.Mesh)
 		if err != nil {
 			return nil, err
 		}
 		m.Observe(cfg.Obs.Scope(fmt.Sprintf("rate%.2f", rate)))
-		var mcs []int
-		for x := 0; x < cfg.Mesh.Width; x++ {
-			mcs = append(mcs, m.NodeAt(x, cfg.Mesh.Height-1))
+		mcs, compute, err := SplitMCs(cfg.Mesh, nil)
+		if err != nil {
+			return nil, err
 		}
-		sinks := make([]*latencySink, len(mcs))
-		isMC := map[int]bool{}
-		for i, n := range mcs {
-			sinks[i] = &latencySink{measureFrom: int64(cfg.Warmup)}
-			m.SetSink(n, sinks[i])
-			isMC[n] = true
-		}
-		var compute []int
-		for n := 0; n < m.Nodes(); n++ {
-			if !isMC[n] {
-				compute = append(compute, n)
-			}
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		step := func() error {
-			for _, src := range compute {
-				if rng.Float64() >= rate {
-					continue
-				}
-				if m.PendingInjection(src) > 16*cfg.PacketFlits {
-					continue
-				}
-				dst := mcs[rng.Intn(len(mcs))]
-				if _, err := m.Inject(src, dst, cfg.PacketFlits, nil); err != nil {
-					return err
-				}
-			}
-			m.Step()
-			return nil
+		sinks := installLatencySinks(m, mcs, int64(cfg.Warmup))
+		s, err := newSource(m, compute, mcs, cfg.PacketFlits, rate, cfg.Seed)
+		if err != nil {
+			return nil, err
 		}
 		// The sinks themselves ignore warm-up-created packets (see
 		// latencySink), so no baseline subtraction is needed: everything
 		// they record belongs to the measurement interval.
-		for c := 0; c < cfg.Warmup+cfg.Cycles; c++ {
-			if err := step(); err != nil {
-				return nil, err
-			}
+		if err := s.run(cfg.Warmup + cfg.Cycles); err != nil {
+			return nil, err
 		}
-		var pkts, lat int64
-		for _, s := range sinks {
-			pkts += s.packets
-			lat += s.latencySum
-		}
+		pkts, lat := sinks.totals()
 		pt := LoadPoint{OfferedRate: rate}
 		if pkts > 0 {
 			pt.AcceptedRate = float64(pkts) / float64(cfg.Cycles) / float64(len(compute))

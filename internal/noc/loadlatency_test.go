@@ -2,7 +2,6 @@ package noc
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -24,53 +23,34 @@ func (s *recordingSink) Accept(p *Packet, lastFlit bool, cycle int64) bool {
 // AvgLatency used to subtract warm-up sums but still counted packets
 // injected DURING warm-up and delivered during measurement; near
 // saturation those carry warm-up queueing and bias the mean upward.
-// Replay the sweep's exact injection sequence with a recording sink,
-// recompute both counting rules, and check RunLoadLatency now matches
-// the unbiased rule - at the highest swept rate, where the bias was
-// worst.
+// Drive the sweep's own traffic source with a recording sink, recompute
+// both counting rules, and check RunLoadLatency now matches the unbiased
+// rule - at the highest swept rate, where the bias was worst.
 func TestLoadLatencyWarmupBiasGone(t *testing.T) {
 	cfg := DefaultLoadLatencyConfig(RoundRobin, 11)
 	rate := cfg.Rates[len(cfg.Rates)-1]
 	cfg.Rates = []float64{rate}
 
-	// Replica of RunLoadLatency's loop: same topology, same seed, same
-	// rng consumption order; the sink always accepts in both, so the
-	// mesh dynamics are identical.
+	// Same topology, source and seed as RunLoadLatency; the sink always
+	// accepts in both, so the mesh dynamics are identical.
 	m, err := NewMesh(cfg.Mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mcs []int
-	for x := 0; x < cfg.Mesh.Width; x++ {
-		mcs = append(mcs, m.NodeAt(x, cfg.Mesh.Height-1))
+	mcs, compute, err := SplitMCs(cfg.Mesh, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rec := &recordingSink{}
-	isMC := map[int]bool{}
 	for _, n := range mcs {
 		m.SetSink(n, rec)
-		isMC[n] = true
 	}
-	var compute []int
-	for n := 0; n < m.Nodes(); n++ {
-		if !isMC[n] {
-			compute = append(compute, n)
-		}
+	s, err := newSource(m, compute, mcs, cfg.PacketFlits, rate, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for c := 0; c < cfg.Warmup+cfg.Cycles; c++ {
-		for _, src := range compute {
-			if rng.Float64() >= rate {
-				continue
-			}
-			if m.PendingInjection(src) > 16*cfg.PacketFlits {
-				continue
-			}
-			dst := mcs[rng.Intn(len(mcs))]
-			if _, err := m.Inject(src, dst, cfg.PacketFlits, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m.Step()
+	if err := s.run(cfg.Warmup + cfg.Cycles); err != nil {
+		t.Fatal(err)
 	}
 
 	warm := int64(cfg.Warmup)
@@ -90,7 +70,7 @@ func TestLoadLatencyWarmupBiasGone(t *testing.T) {
 		}
 	}
 	if unbPkts == 0 || oldPkts == 0 {
-		t.Fatal("replica recorded no deliveries")
+		t.Fatal("recording sink saw no deliveries")
 	}
 	unbiased := float64(unbLat) / float64(unbPkts)
 	old := float64(oldLat) / float64(oldPkts)

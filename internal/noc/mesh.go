@@ -70,9 +70,6 @@ type Packet struct {
 	Src, Dst  int
 	Flits     int
 	CreatedAt int64
-	// Payload carries experiment-specific context (e.g. the request a
-	// reply answers).
-	Payload any
 }
 
 // flit is one flow-control unit of a packet in the network.
@@ -350,7 +347,7 @@ func (m *Mesh) neighbor(node, out int) (next int, inPort int, ok bool) {
 
 // Inject queues a packet for injection at its source node. It returns the
 // packet for convenience.
-func (m *Mesh) Inject(src, dst, flits int, payload any) (*Packet, error) {
+func (m *Mesh) Inject(src, dst, flits int) (*Packet, error) {
 	n := m.Nodes()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil, fmt.Errorf("noc: inject %d->%d outside %d-node mesh", src, dst, n)
@@ -359,7 +356,7 @@ func (m *Mesh) Inject(src, dst, flits int, payload any) (*Packet, error) {
 		return nil, fmt.Errorf("noc: packet needs at least one flit")
 	}
 	m.nextID++
-	p := &Packet{ID: m.nextID, Src: src, Dst: dst, Flits: flits, CreatedAt: m.cycle, Payload: payload}
+	p := &Packet{ID: m.nextID, Src: src, Dst: dst, Flits: flits, CreatedAt: m.cycle}
 	for s := 0; s < flits; s++ {
 		//lint:ignore hotpathalloc injection-queue growth is caller-throttled via PendingInjection and the per-cycle drain compacts in place, keeping capacity; steady-state injects are alloc-free
 		m.injectQ[src] = append(m.injectQ[src], flit{pkt: p, seq: s, tail: s == flits-1})

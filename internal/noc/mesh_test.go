@@ -80,20 +80,20 @@ func TestNeighborEdges(t *testing.T) {
 
 func TestInjectValidation(t *testing.T) {
 	m := newTestMesh(t, RoundRobin)
-	if _, err := m.Inject(-1, 0, 1, nil); err == nil {
+	if _, err := m.Inject(-1, 0, 1); err == nil {
 		t.Error("bad src should fail")
 	}
-	if _, err := m.Inject(0, 99, 1, nil); err == nil {
+	if _, err := m.Inject(0, 99, 1); err == nil {
 		t.Error("bad dst should fail")
 	}
-	if _, err := m.Inject(0, 1, 0, nil); err == nil {
+	if _, err := m.Inject(0, 1, 0); err == nil {
 		t.Error("zero flits should fail")
 	}
 }
 
 func TestSinglePacketDelivery(t *testing.T) {
 	m := newTestMesh(t, RoundRobin)
-	if _, err := m.Inject(0, 15, 3, nil); err != nil {
+	if _, err := m.Inject(0, 15, 3); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(100)
@@ -111,7 +111,7 @@ func TestSinglePacketDelivery(t *testing.T) {
 func TestDeliveryLatencyMatchesHops(t *testing.T) {
 	// A single unimpeded flit advances one hop per cycle after injection.
 	m := newTestMesh(t, RoundRobin)
-	if _, err := m.Inject(0, 3, 1, nil); err != nil {
+	if _, err := m.Inject(0, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	cycles := 0
@@ -131,7 +131,7 @@ func TestDeliveryLatencyMatchesHops(t *testing.T) {
 
 func TestLocalDelivery(t *testing.T) {
 	m := newTestMesh(t, RoundRobin)
-	if _, err := m.Inject(6, 6, 2, nil); err != nil {
+	if _, err := m.Inject(6, 6, 2); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(20)
@@ -149,10 +149,10 @@ func TestWormholeNoInterleaving(t *testing.T) {
 		order = append(order, p.ID)
 		return true
 	}))
-	if _, err := m.Inject(12, 15, 4, nil); err != nil {
+	if _, err := m.Inject(12, 15, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Inject(3, 15, 4, nil); err != nil {
+	if _, err := m.Inject(3, 15, 4); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(200)
@@ -173,7 +173,7 @@ func TestWormholeNoInterleaving(t *testing.T) {
 func TestBackpressureOnRefusingSink(t *testing.T) {
 	m := newTestMesh(t, RoundRobin)
 	m.SetSink(1, sinkFunc(func(*Packet, bool, int64) bool { return false }))
-	if _, err := m.Inject(0, 1, 1, nil); err != nil {
+	if _, err := m.Inject(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(50)
@@ -204,7 +204,7 @@ func TestMeshPropertyConservation(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			flits := 1 + rng.Intn(5)
-			if _, err := m.Inject(src, dst, flits, nil); err != nil {
+			if _, err := m.Inject(src, dst, flits); err != nil {
 				return false
 			}
 			injected++
@@ -248,7 +248,7 @@ func TestMeshPropertyNoDeadlock(t *testing.T) {
 		for c := 0; c < 300; c++ {
 			for n := 0; n < m.Nodes(); n++ {
 				if rng.Float64() < 0.4 && m.PendingInjection(n) < 8 {
-					if _, err := m.Inject(n, rng.Intn(m.Nodes()), 1+rng.Intn(4), nil); err != nil {
+					if _, err := m.Inject(n, rng.Intn(m.Nodes()), 1+rng.Intn(4)); err != nil {
 						return false
 					}
 				}
@@ -283,13 +283,13 @@ func TestMeshPropertyInOrderDelivery(t *testing.T) {
 		// Background traffic plus the observed stream.
 		var sent []uint64
 		for i := 0; i < 20; i++ {
-			p, err := m.Inject(src, dst, 1+rng.Intn(3), nil)
+			p, err := m.Inject(src, dst, 1+rng.Intn(3))
 			if err != nil {
 				return false
 			}
 			sent = append(sent, p.ID)
 			bgSrc := (src + 1 + rng.Intn(15)) % 16 // background never shares the observed source
-			if _, err := m.Inject(bgSrc, rng.Intn(16), 1+rng.Intn(3), nil); err != nil {
+			if _, err := m.Inject(bgSrc, rng.Intn(16), 1+rng.Intn(3)); err != nil {
 				return false
 			}
 			if rng.Intn(2) == 0 {
@@ -332,11 +332,11 @@ func TestAgeBasedEqualAgeTieBreaksToLowestID(t *testing.T) {
 		}
 		return true
 	}))
-	a, err := m.Inject(0, 1, 1, nil) // ID 1, west input of node 1
+	a, err := m.Inject(0, 1, 1) // ID 1, west input of node 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Inject(2, 1, 1, nil) // ID 2, east input of node 1
+	b, err := m.Inject(2, 1, 1) // ID 2, east input of node 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,10 +385,10 @@ func TestRoundRobinPointerHoldsOnRefusedGrant(t *testing.T) {
 			}
 			return true
 		}))
-		if _, err := m.Inject(0, 1, 1, nil); err != nil {
+		if _, err := m.Inject(0, 1, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Inject(2, 1, 1, nil); err != nil {
+		if _, err := m.Inject(2, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 		m.Run(40)
@@ -437,7 +437,7 @@ func TestCreditBalanceUnderSaturatedBackpressure(t *testing.T) {
 				continue
 			}
 			flits := 1 + (src+c)%3
-			if _, err := m.Inject(src, hot, flits, nil); err != nil {
+			if _, err := m.Inject(src, hot, flits); err != nil {
 				t.Fatal(err)
 			}
 			injectedFlits += int64(flits)
@@ -486,7 +486,7 @@ func TestStepSteadyStateDoesNotAllocate(t *testing.T) {
 	n := m.Nodes()
 	for src := 0; src < n; src++ {
 		for k := 0; k < 150; k++ {
-			if _, err := m.Inject(src, (src*7+k*3+1)%n, 4, nil); err != nil {
+			if _, err := m.Inject(src, (src*7+k*3+1)%n, 4); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -509,7 +509,7 @@ func BenchmarkMeshStep(b *testing.B) {
 	n := m.Nodes()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N+1000; i++ {
-		if _, err := m.Inject(rng.Intn(n), rng.Intn(n), 4, nil); err != nil {
+		if _, err := m.Inject(rng.Intn(n), rng.Intn(n), 4); err != nil {
 			b.Fatal(err)
 		}
 	}

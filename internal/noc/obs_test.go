@@ -155,7 +155,7 @@ func TestObservedCountsMatchSimulatorAggregates(t *testing.T) {
 	n := m.Nodes()
 	for src := 0; src < n; src++ {
 		for k := 0; k < 5; k++ {
-			if _, err := m.Inject(src, (src+3*k+1)%n, 3, nil); err != nil {
+			if _, err := m.Inject(src, (src+3*k+1)%n, 3); err != nil {
 				t.Fatal(err)
 			}
 		}

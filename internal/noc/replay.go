@@ -56,31 +56,11 @@ func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) 
 	if err != nil {
 		return nil, err
 	}
-	mcs := cfg.MCs
-	if len(mcs) == 0 {
-		for x := 0; x < cfg.Mesh.Width; x++ {
-			mcs = append(mcs, m.NodeAt(x, cfg.Mesh.Height-1))
-		}
+	mcs, compute, err := SplitMCs(cfg.Mesh, cfg.MCs)
+	if err != nil {
+		return nil, err
 	}
-	isMC := map[int]bool{}
-	sinks := make([]*latencySink, len(mcs))
-	for i, n := range mcs {
-		if n < 0 || n >= m.Nodes() {
-			return nil, fmt.Errorf("noc: MC node %d out of range", n)
-		}
-		sinks[i] = &latencySink{}
-		m.SetSink(n, sinks[i])
-		isMC[n] = true
-	}
-	var compute []int
-	for n := 0; n < m.Nodes(); n++ {
-		if !isMC[n] {
-			compute = append(compute, n)
-		}
-	}
-	if len(compute) == 0 {
-		return nil, fmt.Errorf("noc: no compute nodes")
-	}
+	sinks := installLatencySinks(m, mcs, 0)
 
 	out := make([]ReplayStepStats, 0, len(steps))
 	for _, addrs := range steps {
@@ -91,11 +71,7 @@ func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) 
 		}
 		portCounts := make([]float64, len(mcs))
 		start := m.Cycle()
-		var basePkts, baseLat int64
-		for _, s := range sinks {
-			basePkts += s.packets
-			baseLat += s.latencySum
-		}
+		basePkts, baseLat := sinks.totals()
 		// Queue every transaction; injection drains as buffers allow.
 		for i, addr := range addrs {
 			port := cfg.PortOf(addr)
@@ -104,7 +80,7 @@ func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) 
 			}
 			portCounts[port]++
 			src := compute[i%len(compute)]
-			if _, err := m.Inject(src, mcs[port], 1, nil); err != nil {
+			if _, err := m.Inject(src, mcs[port], 1); err != nil {
 				return nil, err
 			}
 		}
@@ -112,19 +88,9 @@ func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) 
 		if limit == 0 {
 			limit = 4096 * len(addrs)
 		}
-		for cycles := 0; !m.Drained(); cycles++ {
-			if cycles >= limit {
-				st.Drained = false
-				break
-			}
-			m.Step()
-		}
+		st.Drained = Drain(m, limit, nil)
 		st.Makespan = m.Cycle() - start
-		var pkts, lat int64
-		for _, s := range sinks {
-			pkts += s.packets
-			lat += s.latencySum
-		}
+		pkts, lat := sinks.totals()
 		pkts -= basePkts
 		lat -= baseLat
 		if pkts > 0 {

@@ -38,6 +38,11 @@ func TestReplayValidation(t *testing.T) {
 	if _, err := ReplayTrace(badMC, sequentialTrace(1, 4)); err == nil {
 		t.Error("bad MC node should fail")
 	}
+	dupMC := replayConfig(HashedPortMapping(2))
+	dupMC.MCs = []int{30, 30}
+	if _, err := ReplayTrace(dupMC, sequentialTrace(1, 4)); err == nil {
+		t.Error("duplicate MC node should fail")
+	}
 }
 
 func TestReplayEmptyStep(t *testing.T) {

@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"gpunoc/internal/obs"
 )
@@ -359,58 +358,26 @@ func DefaultXbarFairnessConfig(arb Arbiter, seed int64) XbarFairnessConfig {
 // hierarchical crossbar delivers uniform bandwidth without age-based
 // arbitration machinery.
 func RunXbarFairness(cfg XbarFairnessConfig) (*FairnessResult, error) {
-	if cfg.PacketFlits <= 0 || cfg.Cycles <= 0 || cfg.InjectRate <= 0 {
-		return nil, fmt.Errorf("noc: invalid xbar fairness parameters")
+	if cfg.Cycles <= 0 {
+		return nil, fmt.Errorf("noc: xbar fairness cycles %d invalid", cfg.Cycles)
 	}
 	x, err := NewXbar(cfg.Xbar)
 	if err != nil {
 		return nil, err
 	}
 	x.Observe(cfg.Obs)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	topUp := func() {
-		for node := 0; node < x.Nodes(); node++ {
-			if rng.Float64() >= cfg.InjectRate {
-				continue
-			}
-			if x.PendingInjection(node) > 16*cfg.PacketFlits {
-				continue
-			}
-			if _, err := x.Inject(node, rng.Intn(cfg.Xbar.MemPorts), cfg.PacketFlits); err != nil {
-				panic(err) // ranges validated above
-			}
-		}
+	s, err := newSource(x, indices(x.Nodes()), indices(cfg.Xbar.MemPorts), cfg.PacketFlits, cfg.InjectRate, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	for c := 0; c < cfg.Warmup; c++ {
-		topUp()
-		x.Step()
+	return measureFairness(s, x.AcceptedPackets, cfg.Warmup, cfg.Cycles)
+}
+
+// indices returns 0, 1, ..., n-1.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	base := make([]int64, x.Nodes())
-	copy(base, x.AcceptedPackets)
-	for c := 0; c < cfg.Cycles; c++ {
-		topUp()
-		x.Step()
-	}
-	res := &FairnessResult{}
-	minT, maxT := math.MaxFloat64, 0.0
-	for node := 0; node < x.Nodes(); node++ {
-		res.ComputeNodes = append(res.ComputeNodes, node)
-		tp := float64(x.AcceptedPackets[node]-base[node]) / float64(cfg.Cycles)
-		res.Throughput = append(res.Throughput, tp)
-		if tp < minT {
-			minT = tp
-		}
-		if tp > maxT {
-			maxT = tp
-		}
-	}
-	for p := 0; p < cfg.Xbar.MemPorts; p++ {
-		res.MCs = append(res.MCs, p)
-	}
-	if minT > 0 {
-		res.MaxMinRatio = maxT / minT
-	} else {
-		res.MaxMinRatio = math.Inf(1)
-	}
-	return res, nil
+	return out
 }

@@ -123,7 +123,7 @@ func Suite() []Benchmark {
 					if dst >= src {
 						dst++
 					}
-					if _, err := m.Inject(src, dst, 4, nil); err != nil {
+					if _, err := m.Inject(src, dst, 4); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -158,111 +158,86 @@ func (s *refuseSink) Accept(_ *noc.Packet, _ bool, cycle int64) bool {
 	return int(h%100) >= s.pct
 }
 
+// auditor is what RunCase needs from MeshAuditor and XbarAuditor.
+type auditor interface {
+	RecordInject(p *noc.Packet)
+	CheckCycle()
+	CheckFinal()
+	Violations() []Violation
+	InFlightFlits() int64
+	violatef(invariant string, cycle int64, format string, args ...any)
+}
+
 // RunCase executes one case under full audit: every injection is
 // ledgered, every cycle is checked, and the run ends with the final
 // reconciliation. The error return is for malformed cases (bad
 // config, out-of-range injection); simulator misbehavior lands in the
 // report's Violations instead.
 func RunCase(c Case) (*Report, error) {
+	net, a, err := newAuditedNetwork(c)
+	if err != nil {
+		return nil, err
+	}
+	for next := 0; next < len(c.Injections); {
+		for next < len(c.Injections) && int64(c.Injections[next].Cycle) <= net.Cycle() {
+			inj := c.Injections[next]
+			p, err := net.Inject(inj.Src, inj.Dst, inj.Flits)
+			if err != nil {
+				return nil, err
+			}
+			a.RecordInject(p)
+			next++
+		}
+		net.Step()
+		a.CheckCycle()
+	}
+	lastCycle := 0
+	if n := len(c.Injections); n > 0 {
+		lastCycle = c.Injections[n-1].Cycle
+	}
+	rep := &Report{Case: c}
+	// A case still holding flits at cycle lastCycle+DrainCycles+1 has
+	// deadlocked.
+	rep.Drained = noc.Drain(net, lastCycle+c.DrainCycles-int(net.Cycle())+1, a.CheckCycle)
+	if !rep.Drained {
+		a.violatef("drained-ledger", net.Cycle(),
+			"network failed to drain within %d cycles of the last injection (%d flits still in flight)",
+			c.DrainCycles, a.InFlightFlits())
+	}
+	a.CheckFinal()
+	rep.Violations = a.Violations()
+	rep.Cycles = net.Cycle()
+	return rep, nil
+}
+
+// newAuditedNetwork builds the case's network behind its auditor, with
+// the mesh's refusal sinks and sabotage armed.
+func newAuditedNetwork(c Case) (noc.Network, auditor, error) {
 	switch c.Kind {
 	case "mesh":
-		return runMeshCase(c)
+		m, err := noc.NewMesh(c.Mesh)
+		if err != nil {
+			return nil, nil, err
+		}
+		a := NewMeshAuditor(m)
+		if err := a.SetSabotage(c.Sabotage); err != nil {
+			return nil, nil, err
+		}
+		if c.RefusePct > 0 {
+			for node := 0; node < m.Nodes(); node++ {
+				a.WrapSink(node, &refuseSink{seed: uint64(c.Seed), node: node, pct: c.RefusePct})
+			}
+		}
+		return m, a, nil
 	case "xbar":
-		return runXbarCase(c)
-	}
-	return nil, fmt.Errorf("simcheck: unknown case kind %q", c.Kind)
-}
-
-func runMeshCase(c Case) (*Report, error) {
-	m, err := noc.NewMesh(c.Mesh)
-	if err != nil {
-		return nil, err
-	}
-	a := NewMeshAuditor(m)
-	if err := a.SetSabotage(c.Sabotage); err != nil {
-		return nil, err
-	}
-	if c.RefusePct > 0 {
-		for node := 0; node < m.Nodes(); node++ {
-			a.WrapSink(node, &refuseSink{seed: uint64(c.Seed), node: node, pct: c.RefusePct})
+		if c.Sabotage != SabotageNone {
+			return nil, nil, fmt.Errorf("simcheck: sabotage is mesh-only (the crossbar has no delivery tap)")
 		}
-	}
-	next := 0
-	lastCycle := 0
-	if n := len(c.Injections); n > 0 {
-		lastCycle = c.Injections[n-1].Cycle
-	}
-	deadline := int64(lastCycle + c.DrainCycles)
-	rep := &Report{Case: c}
-	for {
-		for next < len(c.Injections) && int64(c.Injections[next].Cycle) <= m.Cycle() {
-			inj := c.Injections[next]
-			p, err := m.Inject(inj.Src, inj.Dst, inj.Flits, nil)
-			if err != nil {
-				return nil, err
-			}
-			a.RecordInject(p)
-			next++
+		x, err := noc.NewXbar(c.Xbar)
+		if err != nil {
+			return nil, nil, err
 		}
-		m.Step()
-		a.CheckCycle()
-		if next == len(c.Injections) && m.Drained() {
-			rep.Drained = true
-			break
-		}
-		if m.Cycle() > deadline {
-			a.violatef("drained-ledger", m.Cycle(),
-				"network failed to drain within %d cycles of the last injection (%d flits still in flight)",
-				c.DrainCycles, a.led.inFlightFlits())
-			break
-		}
+		return x, NewXbarAuditor(x), nil
 	}
-	a.CheckFinal()
-	rep.Violations = a.Violations()
-	rep.Cycles = m.Cycle()
-	return rep, nil
-}
-
-func runXbarCase(c Case) (*Report, error) {
-	if c.Sabotage != SabotageNone {
-		return nil, fmt.Errorf("simcheck: sabotage is mesh-only (the crossbar has no delivery tap)")
-	}
-	x, err := noc.NewXbar(c.Xbar)
-	if err != nil {
-		return nil, err
-	}
-	a := NewXbarAuditor(x)
-	next := 0
-	lastCycle := 0
-	if n := len(c.Injections); n > 0 {
-		lastCycle = c.Injections[n-1].Cycle
-	}
-	deadline := int64(lastCycle + c.DrainCycles)
-	rep := &Report{Case: c}
-	for {
-		for next < len(c.Injections) && int64(c.Injections[next].Cycle) <= x.Cycle() {
-			inj := c.Injections[next]
-			p, err := x.Inject(inj.Src, inj.Dst, inj.Flits)
-			if err != nil {
-				return nil, err
-			}
-			a.RecordInject(p)
-			next++
-		}
-		x.Step()
-		a.CheckCycle()
-		if next == len(c.Injections) && x.Drained() {
-			rep.Drained = true
-			break
-		}
-		if x.Cycle() > deadline {
-			a.violatef("drained-ledger", x.Cycle(),
-				"crossbar failed to drain within %d cycles of the last injection", c.DrainCycles)
-			break
-		}
-	}
-	a.CheckFinal()
-	rep.Violations = a.Violations()
-	rep.Cycles = x.Cycle()
-	return rep, nil
+	return nil, nil, fmt.Errorf("simcheck: unknown case kind %q", c.Kind)
 }

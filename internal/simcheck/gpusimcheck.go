@@ -55,15 +55,6 @@ func checkGPUSimPair(log *violationLog, a, b *noc.GPUSimResult) {
 	}
 }
 
-// gpuSimMCCount mirrors RunGPUSim's MC placement rule: an empty MCs
-// list means one MC per bottom-row node.
-func gpuSimMCCount(cfg noc.GPUSimConfig) int {
-	if len(cfg.MCs) > 0 {
-		return len(cfg.MCs)
-	}
-	return cfg.Mesh.Width
-}
-
 // checkGPUSimBounds checks one result against its physical envelope:
 // utilizations are fractions of capacity, the served count cannot
 // exceed the channels' peak service rate, and the utilization series
@@ -82,7 +73,12 @@ func checkGPUSimBounds(log *violationLog, cfg noc.GPUSimConfig, r *noc.GPUSimRes
 	if r.RequestsServed < 0 {
 		log.violatef("bounds", -1, "RequestsServed %d negative", r.RequestsServed)
 	}
-	mcs := gpuSimMCCount(cfg)
+	mcNodes, _, err := noc.SplitMCs(cfg.Mesh, cfg.MCs)
+	if err != nil {
+		log.violatef("bounds", -1, "%v", err)
+		return
+	}
+	mcs := len(mcNodes)
 	svc := cfg.MCServiceCycles
 	if svc < 1 {
 		svc = 1

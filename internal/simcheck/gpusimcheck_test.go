@@ -115,13 +115,31 @@ func TestGPUSimBoundsViolationsDetected(t *testing.T) {
 	}
 }
 
+// The peak-service bound counts MCs with RunGPUSim's own placement
+// rule: an empty list means the bottom row, and a duplicated node is
+// rejected rather than counted twice.
 func TestGPUSimMCCountRule(t *testing.T) {
 	cfg := gpuCfg()
-	if got := gpuSimMCCount(cfg); got != cfg.Mesh.Width {
-		t.Fatalf("default MC placement counted %d, want bottom row %d", got, cfg.Mesh.Width)
+	ok, err := noc.RunGPUSim(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg.MCs = []int{1, 2, 3}
-	if got := gpuSimMCCount(cfg); got != 3 {
-		t.Fatalf("explicit MCs counted %d, want 3", got)
+	// The bottom row's peak is exactly allowed; one request more is not.
+	peak := int64(cfg.Mesh.Width) * (int64(cfg.Warmup+cfg.Cycles)/int64(cfg.MCServiceCycles) + 1)
+	for served, wantViolation := range map[int64]bool{peak: false, peak + 1: true} {
+		r := *ok
+		r.RequestsServed = served
+		var log violationLog
+		checkGPUSimBounds(&log, cfg, &r)
+		if got := hasInvariant(log.violations, "bounds"); got != wantViolation {
+			t.Errorf("default placement, %d served (bottom-row peak %d): violation = %v, want %v",
+				served, peak, got, wantViolation)
+		}
+	}
+	cfg.MCs = []int{1, 2, 2}
+	var log violationLog
+	checkGPUSimBounds(&log, cfg, ok)
+	if !hasInvariant(log.violations, "bounds") {
+		t.Error("a duplicated MC node passed the bounds check")
 	}
 }

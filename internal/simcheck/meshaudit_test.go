@@ -53,7 +53,7 @@ func TestCleanRunHasNoViolations(t *testing.T) {
 	runAudited(t, m, a, func() {
 		for src := 0; src < m.Nodes(); src++ {
 			for dst := 0; dst < m.Nodes(); dst++ {
-				p, err := m.Inject(src, dst, 1+(src+dst)%3, nil)
+				p, err := m.Inject(src, dst, 1+(src+dst)%3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +79,7 @@ func TestConservationViolationDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	runAudited(t, m, a, func() {
-		p, err := m.Inject(0, 3, 2, nil)
+		p, err := m.Inject(0, 3, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestUnrecordedDeliveryDetected(t *testing.T) {
 	}
 	runAudited(t, m, a, func() {
 		for i := 0; i < 6; i++ {
-			p, err := m.Inject(i%4, (i+1)%4, 1, nil)
+			p, err := m.Inject(i%4, (i+1)%4, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +248,7 @@ func TestDrainedButLedgerOpenDetected(t *testing.T) {
 func TestLedgerEmptyButNotDrainedDetected(t *testing.T) {
 	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	a := NewMeshAuditor(m)
-	if _, err := m.Inject(0, 3, 2, nil); err != nil { // injected behind the ledger's back
+	if _, err := m.Inject(0, 3, 2); err != nil { // injected behind the ledger's back
 		t.Fatal(err)
 	}
 	a.CheckFinal()
@@ -262,7 +262,7 @@ func TestAggregateMismatchDetected(t *testing.T) {
 	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	a := NewMeshAuditor(m)
 	runAudited(t, m, a, func() {
-		p, err := m.Inject(0, 3, 1, nil)
+		p, err := m.Inject(0, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,17 +40,13 @@ func ZeroLoadLatency(cfg noc.MeshConfig, flitSizes []int) ([]Violation, error) {
 	for _, flits := range flitSizes {
 		for src := 0; src < m.Nodes(); src++ {
 			for dst := 0; dst < m.Nodes(); dst++ {
-				p, err := m.Inject(src, dst, flits, nil)
+				p, err := m.Inject(src, dst, flits)
 				if err != nil {
 					return nil, err
 				}
 				a.RecordInject(p)
-				for guard := 0; !m.Drained(); guard++ {
-					if guard > 16*(m.Nodes()+flits) {
-						return nil, fmt.Errorf("simcheck: zero-load packet %d->%d (%d flits) failed to drain", src, dst, flits)
-					}
-					m.Step()
-					a.CheckCycle()
+				if !noc.Drain(m, 16*(m.Nodes()+flits), a.CheckCycle) {
+					return nil, fmt.Errorf("simcheck: zero-load packet %d->%d (%d flits) failed to drain", src, dst, flits)
 				}
 				lat, done := a.PacketLatency(p.ID)
 				if !done {
@@ -113,17 +109,13 @@ func ArbiterLowLoadEquivalence(cfg noc.MeshConfig, seed int64, packets int) ([]V
 	latAge := make([]int64, packets)
 	run := func(m *noc.Mesh, a *MeshAuditor, lats []int64) error {
 		for i, s := range schedule {
-			p, err := m.Inject(s.src, s.dst, s.flits, nil)
+			p, err := m.Inject(s.src, s.dst, s.flits)
 			if err != nil {
 				return err
 			}
 			a.RecordInject(p)
-			for guard := 0; !m.Drained(); guard++ {
-				if guard > 16*(m.Nodes()+s.flits) {
-					return fmt.Errorf("simcheck: low-load packet %d->%d failed to drain", s.src, s.dst)
-				}
-				m.Step()
-				a.CheckCycle()
+			if !noc.Drain(m, 16*(m.Nodes()+s.flits), a.CheckCycle) {
+				return fmt.Errorf("simcheck: low-load packet %d->%d failed to drain", s.src, s.dst)
 			}
 			lat, done := a.PacketLatency(p.ID)
 			if !done {

@@ -112,5 +112,8 @@ func (a *XbarAuditor) CheckFinal() {
 	}
 }
 
+// InFlightFlits exposes the conservation balance.
+func (a *XbarAuditor) InFlightFlits() int64 { return a.led.inFlightFlits() }
+
 // Summary renders violation counts grouped by invariant.
 func (a *XbarAuditor) Summary() string { return summarize(a.violations, a.suppressed) }
