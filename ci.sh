@@ -50,6 +50,42 @@ if go run ./cmd/noclint -baseline noclint.baseline.json ./... >/dev/null 2>&1; t
 	exit 1
 fi
 rm -rf "$smokedir"
+
+echo "==> noclint seeded-violation smoke (generic method)"
+# The simulators' buffers are one generic queue type, so their hot-path
+# append sits in a method of a generic type, called through an
+# instantiation. Seed that shape and assert the gate bites.
+mkdir "$smokedir"
+cat > "$smokedir/bad.go" <<'EOF'
+// Package lintsmoke is a transient CI fixture proving hotpathalloc
+// sees through a generic type's instantiation.
+package lintsmoke
+
+// Buf is a generic buffer.
+type Buf[T any] struct{ items []T }
+
+// Add appends without a directive: a hotpathalloc violation once a
+// hot root reaches it.
+func (b *Buf[T]) Add(x T) { b.items = append(b.items, x) }
+
+// Fill calls Add through the Buf[int] instantiation.
+//
+//lint:hotpath CI smoke root
+func Fill(b *Buf[int]) { b.Add(1) }
+EOF
+if out=$(go run ./cmd/noclint -baseline noclint.baseline.json ./... 2>&1); then
+	echo "noclint -baseline passed with a seeded violation in a generic method; the gate is dead" >&2
+	exit 1
+fi
+case "$out" in
+*"$smokedir/bad.go:"*hotpathalloc*) ;;
+*)
+	echo "noclint -baseline failed, but not on the seeded generic-method append:" >&2
+	echo "$out" >&2
+	exit 1
+	;;
+esac
+rm -rf "$smokedir"
 trap - EXIT
 
 echo "==> go test -race -shuffle=on"

@@ -30,6 +30,9 @@ func sortedKeys[V any](m map[string]V) []string {
 //     "pkg.F"). The Loader type-checks each analyzed package with its
 //     own checker instance, so object identity does not survive across
 //     packages — the name string does, which is why it is the node key.
+//     A use of a generic function or of a generic type's method is
+//     resolved to its origin (types.Func.Origin), the declared object,
+//     since every instantiation spells its name differently.
 //   - Any reference to a module function counts as a call edge, not just
 //     direct call expressions. A method value or function value handed
 //     to someone else may be invoked by them, so the graph assumes it
@@ -160,6 +163,10 @@ func (prog *Program) addNode(p *Package, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
+		// A method of a generic type is used through an instantiation,
+		// "(*pkg.queue[pkg.flit]).push", but declared once, as
+		// "(*pkg.queue[T]).push"; the edge must name the declaration.
+		callee = callee.Origin()
 		sig, ok := callee.Type().(*types.Signature)
 		if ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 			// Interface method: conservative dispatch by name and

@@ -93,36 +93,53 @@ func TestStaleIgnore(t *testing.T) {
 // that matter: recursion terminates, a method value creates a may-call
 // edge, an interface call fans out to every module method with the same
 // name and signature shape (and to no same-named method of another
-// shape), and unreferenced functions stay unreachable.
+// shape), a call through a generic type's instantiation reaches the
+// method's one declaration, and unreferenced functions stay
+// unreachable.
 func TestCallGraphReachability(t *testing.T) {
 	p := loadFixture(t, "callgraph")
 	prog := NewProgram([]*Package{p})
 
 	roots := prog.HotRoots()
-	if len(roots) != 1 || !strings.HasSuffix(roots[0], "Sim).Step") {
-		t.Fatalf("HotRoots = %v, want exactly (*Sim).Step", roots)
+	if len(roots) != 2 || !strings.HasSuffix(roots[0], "Sim).Step") || shortID(roots[1]) != "Fill" {
+		t.Fatalf("HotRoots = %v, want (*Sim).Step and Fill", roots)
 	}
 
 	reach := prog.Reachable(roots)
-	short := map[string]bool{}
+	short := map[string]string{}
 	for id, root := range reach {
-		short[shortID(id)] = true
-		if root != roots[0] {
-			t.Errorf("%s attributed to root %s, want %s", id, root, roots[0])
+		short[shortID(id)] = shortID(root)
+	}
+	for fn, root := range map[string]string{
+		"(*Sim).Step":      "(*Sim).Step",
+		"(*Sim).helper":    "(*Sim).Step",
+		"spin":             "(*Sim).Step",
+		"(*A).Walk":        "(*Sim).Step",
+		"(*B).Walk":        "(*Sim).Step",
+		"Fill":             "Fill",
+		"(*Queue[T]).Push": "Fill",
+	} {
+		if got, ok := short[fn]; !ok {
+			t.Errorf("%s not reachable; got %v", fn, short)
+		} else if got != root {
+			t.Errorf("%s attributed to root %s, want %s", fn, got, root)
 		}
 	}
-	for _, want := range []string{"(*Sim).Step", "(*Sim).helper", "spin", "(*A).Walk", "(*B).Walk"} {
-		if !short[want] {
-			t.Errorf("%s not reachable; got %v", want, short)
-		}
-	}
-	if short["(*C).Walk"] {
+	if _, ok := short["(*C).Walk"]; ok {
 		t.Errorf("(*C).Walk(int) cannot satisfy Walker but was reached; got %v", short)
 	}
-	if short["lonely"] {
+	if _, ok := short["lonely"]; ok {
 		t.Errorf("lonely is unreachable by construction but was reached; got %v", short)
 	}
-	if len(short) != 5 {
-		t.Errorf("reachable set has %d entries, want 5: %v", len(short), short)
+	if len(short) != 7 {
+		t.Errorf("reachable set has %d entries, want 7: %v", len(short), short)
+	}
+
+	// Reaching the generic method is what puts its append under
+	// hotpathalloc: with no directive in the fixture, it must be flagged.
+	got := render(programAnalyzerByName(t, "hotpathalloc").Run(prog))
+	want := "callgraph.go:58: [hotpathalloc] append may grow its backing array in a hot path (reachable from Fill); reuse a preallocated buffer or document the amortization with //lint:ignore\n"
+	if got != want {
+		t.Errorf("hotpathalloc on the callgraph fixture\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

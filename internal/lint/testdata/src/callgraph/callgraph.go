@@ -1,5 +1,6 @@
 // Package callgraph is the call-graph unit-test fixture: recursion,
-// method values, interface dispatch, and an unreachable function.
+// method values, interface dispatch, a generic type's method called
+// through an instantiation, and an unreachable function.
 package callgraph
 
 // Walker is dispatched through an interface.
@@ -48,6 +49,19 @@ func spin(n int) {
 		spin(n - 1)
 	}
 }
+
+// Queue is generic: its methods are declared once, on Queue[T], and
+// used through instantiations such as Queue[int].
+type Queue[T any] struct{ items []T }
+
+// Push appends, so it allocates when a hot root reaches it.
+func (q *Queue[T]) Push(x T) { q.items = append(q.items, x) }
+
+// Fill is a second hot root; its call names (*Queue[int]).Push, which
+// must resolve to the declared (*Queue[T]).Push.
+//
+//lint:hotpath fixture root calling a generic type's appending method
+func Fill(q *Queue[int]) { q.Push(1) }
 
 // lonely is referenced by nothing and must stay unreachable.
 func lonely() {}

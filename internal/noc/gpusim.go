@@ -80,7 +80,7 @@ type GPUSimResult struct {
 // mcState bridges a request-mesh sink to a reply-mesh source.
 type mcState struct {
 	node     int
-	queue    []*Packet
+	reqs     queue[*Packet]
 	queueCap int
 	// admitted is the packet whose head flit was granted queue headroom
 	// and whose remaining flits are still draining into the sink.
@@ -97,16 +97,10 @@ type mcState struct {
 	served       int64
 }
 
-// popRequest dequeues the oldest pending request. It compacts the queue
-// down instead of reslicing: q = q[1:] would pin the popped *Packet in
-// the backing array and erode append capacity, forcing a reallocation
-// every few pops (the fifo.pop pattern).
-func (mc *mcState) popRequest() *Packet {
-	req := mc.queue[0]
-	n := copy(mc.queue, mc.queue[1:])
-	mc.queue[n] = nil
-	mc.queue = mc.queue[:n]
-	return req
+// newMCState builds an MC whose request queue is allocated at its
+// depth.
+func newMCState(node, queueCap int) *mcState {
+	return &mcState{node: node, reqs: newQueue[*Packet](queueCap), queueCap: queueCap}
 }
 
 // Accept admits or refuses one flit of a request packet. The admission
@@ -119,14 +113,13 @@ func (mc *mcState) popRequest() *Packet {
 func (mc *mcState) Accept(p *Packet, lastFlit bool, _ int64) bool {
 	if p != mc.admitted {
 		// Head flit: admit only with queue headroom.
-		if len(mc.queue) >= mc.queueCap {
+		if mc.reqs.len() >= mc.queueCap {
 			return false
 		}
 		mc.admitted = p
 	}
 	if lastFlit {
-		//lint:ignore hotpathalloc queue growth is bounded by queueCap and popRequest compacts in place, keeping capacity; steady-state appends are alloc-free (TestMCQueueSteadyStateDoesNotAllocate)
-		mc.queue = append(mc.queue, p)
+		mc.reqs.push(p)
 		mc.admitted = nil
 	}
 	return true
@@ -195,7 +188,7 @@ func newGPUSim(cfg GPUSimConfig) (*gpuSim, error) {
 	g := &gpuSim{cfg: cfg, reqFlits: reqFlits, reqNet: reqNet, repNet: repNet, mcs: mcs, compute: compute}
 	g.mcStates = make([]*mcState, reqNet.Nodes())
 	for _, n := range g.mcs {
-		st := &mcState{node: n, queueCap: cfg.MCQueue}
+		st := newMCState(n, cfg.MCQueue)
 		g.mcStates[n] = st
 		reqNet.SetSink(n, st)
 	}
@@ -259,7 +252,7 @@ func (g *gpuSim) serviceMCs(measuring bool) (busyNow int, injected int64, err er
 	cycle := g.reqNet.Cycle()
 	for _, n := range g.mcs {
 		st := g.mcStates[n]
-		g.mcQueueDepth.Observe(int64(len(st.queue)))
+		g.mcQueueDepth.Observe(int64(st.reqs.len()))
 		// Try to flush a reply whose DRAM access completed but whose
 		// injection is blocked by the reply-network interface.
 		if st.pendingReply != nil && cycle >= st.busyUntil {
@@ -288,9 +281,9 @@ func (g *gpuSim) serviceMCs(measuring bool) (busyNow int, injected int64, err er
 			}
 		}
 		busy := cycle < st.busyUntil
-		if !busy && st.pendingReply == nil && len(st.queue) > 0 {
+		if !busy && st.pendingReply == nil && st.reqs.len() > 0 {
 			// Start servicing the next request.
-			req := st.popRequest()
+			req := st.reqs.pop()
 			st.busyUntil = cycle + int64(g.cfg.MCServiceCycles)
 			st.pendingReply = req
 			busy = true
@@ -345,7 +338,7 @@ func (g *gpuSim) run() (*GPUSimResult, error) {
 		// paid when observed).
 		for _, n := range g.mcs {
 			st := g.mcStates[n]
-			g.mcObs.Gauge(fmt.Sprintf("n%03d/final_queue_depth", st.node)).Set(int64(len(st.queue)))
+			g.mcObs.Gauge(fmt.Sprintf("n%03d/final_queue_depth", st.node)).Set(int64(st.reqs.len()))
 			g.mcObs.Gauge(fmt.Sprintf("n%03d/served", st.node)).Set(st.served)
 		}
 	}

@@ -2,33 +2,26 @@ package noc
 
 import "testing"
 
-// The MC service path used to reslice st.queue[1:], pinning every
+// The MC service path used to reslice its queue, pinning every
 // serviced request's *Packet in the backing array and eroding append
 // capacity so steady-state servicing reallocated every ~queueCap pops.
-// This drives the exact Accept/popRequest cadence RunGPUSim runs per
-// cycle and demands zero allocations once warmed.
+// This drives the exact Accept/pop cadence RunGPUSim runs per cycle on
+// an MC as newGPUSim builds it, and demands zero allocations from the
+// first request.
 func TestMCQueueSteadyStateDoesNotAllocate(t *testing.T) {
-	st := &mcState{queueCap: 16}
+	st := newMCState(0, 16)
 	p := &Packet{ID: 1, Flits: 1}
-	// Warm up: grow the queue's backing array to its working size.
-	for i := 0; i < st.queueCap; i++ {
-		if !st.Accept(p, true, 0) {
-			t.Fatal("warm-up enqueue refused below capacity")
+	if n := mallocs(func() {
+		for i := 0; i < 1000; i++ {
+			if !st.Accept(p, true, 0) {
+				t.Fatal("steady-state enqueue refused")
+			}
+			if st.reqs.pop() != p {
+				t.Fatal("popped wrong request")
+			}
 		}
-	}
-	for len(st.queue) > 0 {
-		st.popRequest()
-	}
-	avg := testing.AllocsPerRun(1000, func() {
-		if !st.Accept(p, true, 0) {
-			t.Fatal("steady-state enqueue refused")
-		}
-		if st.popRequest() != p {
-			t.Fatal("popped wrong request")
-		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state MC enqueue/service allocates %.1f per request, want 0", avg)
+	}); n != 0 {
+		t.Errorf("1000 MC enqueue/service rounds made %d allocations, want 0", n)
 	}
 }
 
@@ -37,7 +30,7 @@ func TestMCQueueSteadyStateDoesNotAllocate(t *testing.T) {
 // queue was full - a multi-flit request would be half-consumed, wedging
 // the wormhole with the tail refused forever.
 func TestMCAcceptRefusesAtHeadFlit(t *testing.T) {
-	st := &mcState{queueCap: 1}
+	st := newMCState(0, 1)
 	a := &Packet{ID: 1, Flits: 2}
 	if !st.Accept(a, false, 0) {
 		t.Fatal("head flit refused with queue headroom")
@@ -45,8 +38,8 @@ func TestMCAcceptRefusesAtHeadFlit(t *testing.T) {
 	if !st.Accept(a, true, 0) {
 		t.Fatal("tail flit refused after head was admitted")
 	}
-	if len(st.queue) != 1 {
-		t.Fatalf("queued %d packets, want 1", len(st.queue))
+	if st.reqs.len() != 1 {
+		t.Fatalf("queued %d packets, want 1", st.reqs.len())
 	}
 	// Queue is now full: the next packet must be refused at its HEAD,
 	// before any flit is consumed (the old code accepted it here).
@@ -55,7 +48,7 @@ func TestMCAcceptRefusesAtHeadFlit(t *testing.T) {
 		t.Fatal("head flit admitted with no queue headroom; tail would wedge")
 	}
 	// Drain one request; the refused packet's head retries and lands.
-	st.popRequest()
+	st.reqs.pop()
 	if !st.Accept(b, false, 0) || !st.Accept(b, true, 0) {
 		t.Fatal("retried packet refused after headroom opened")
 	}
@@ -201,18 +194,22 @@ func TestGPUSimHotMethodsDoNotAllocate(t *testing.T) {
 	for _, n := range g.compute {
 		g.outstanding[n] = g.cfg.WindowPerCompute
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		if err := g.issue(); err != nil {
-			t.Fatal(err)
+	if n := mallocs(func() {
+		for i := 0; i < 1000; i++ {
+			if err := g.issue(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); avg != 0 {
-		t.Errorf("issue() allocates %.1f per cycle at full windows, want 0", avg)
+	}); n != 0 {
+		t.Errorf("1000 issue() calls at full windows made %d allocations, want 0", n)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		if _, _, err := g.serviceMCs(true); err != nil {
-			t.Fatal(err)
+	if n := mallocs(func() {
+		for i := 0; i < 1000; i++ {
+			if _, _, err := g.serviceMCs(true); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); avg != 0 {
-		t.Errorf("serviceMCs() allocates %.1f per cycle when idle, want 0", avg)
+	}); n != 0 {
+		t.Errorf("1000 idle serviceMCs() calls made %d allocations, want 0", n)
 	}
 }

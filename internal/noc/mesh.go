@@ -10,7 +10,6 @@ package noc
 
 import (
 	"fmt"
-	"math"
 
 	"gpunoc/internal/obs"
 )
@@ -75,7 +74,7 @@ type Packet struct {
 // flit is one flow-control unit of a packet in the network.
 type flit struct {
 	pkt  *Packet
-	seq  int // 0-based flit index within the packet
+	head bool // the packet's first flit, the one that is routed and arbitrated
 	tail bool
 }
 
@@ -107,40 +106,10 @@ func (s *countingSink) Accept(_ *Packet, lastFlit bool, _ int64) bool {
 	return true
 }
 
-type fifo struct {
-	q   []flit
-	cap int
-}
-
-func (f *fifo) empty() bool { return len(f.q) == 0 }
-func (f *fifo) full() bool  { return len(f.q) >= f.cap }
-func (f *fifo) head() *flit { return &f.q[0] }
-
-// pop compacts the queue down instead of reslicing (f.q = f.q[1:]): a
-// reslice pins every popped flit's *Packet in the backing array and
-// shrinks the slice capacity, so each ~BufferFlits pushes forced append
-// to reallocate. Copy-down keeps the array at full capacity forever and
-// overwrites dropped packet pointers, making steady-state Step
-// allocation-free (see TestStepSteadyStateDoesNotAllocate).
-func (f *fifo) pop() flit {
-	h := f.q[0]
-	n := copy(f.q, f.q[1:])
-	f.q[n] = flit{} // drop the duplicated tail's *Packet reference
-	f.q = f.q[:n]
-	return h
-}
-
-// push enqueues one flit. The append is amortized: pop compacts in
-// place and keeps capacity, and occupancy is bounded by BufferFlits, so
-// steady-state pushes never grow the backing array
-// (TestMeshSteadyStateDoesNotAllocate).
-//
-//lint:ignore hotpathalloc bounded-occupancy queue; pop's copy-down compaction keeps append capacity, steady-state pushes are alloc-free
-func (f *fifo) push(x flit) { f.q = append(f.q, x) }
-
 type router struct {
 	node int
-	in   [numPorts]fifo
+	// in holds the input-port buffers, each bounded at BufferFlits.
+	in [numPorts]queue[flit]
 	// outOwner is the input port currently holding each output via
 	// wormhole allocation, or -1.
 	outOwner [numPorts]int
@@ -154,7 +123,7 @@ type Mesh struct {
 	routers []*router
 	sinks   []Sink
 	// injectQ holds flits awaiting entry into each node's local input.
-	injectQ [][]flit
+	injectQ []queue[flit]
 	cycle   int64
 	nextID  uint64
 
@@ -163,14 +132,15 @@ type Mesh struct {
 	// AcceptedFlits counts flits delivered per destination node.
 	AcceptedFlits []int64
 
-	// move/push scratch buffers reused each cycle.
+	// move/push scratch buffers reused each cycle, built at their
+	// bound (one move per router output).
 	moves  []move
 	pushes []pendingPush
 
 	// obs is the optional instrument set; see Observe. All instruments
 	// are nil-safe no-ops while unobserved, so the hooks below cost a
 	// nil check and zero allocations in the disabled default (guarded
-	// by TestStepSteadyStateDoesNotAllocate / BenchmarkMeshStep).
+	// by TestStepSteadyStateDoesNotAllocate and perfbench's mesh_step).
 	obs meshObs
 }
 
@@ -223,8 +193,8 @@ func (m *Mesh) Observe(reg *obs.Registry) {
 }
 
 type move struct {
-	from *fifo
-	to   *fifo // nil means ejection
+	from *queue[flit]
+	to   *queue[flit] // nil means ejection
 	r    *router
 	out  int
 }
@@ -232,7 +202,7 @@ type move struct {
 // pendingPush defers a flit's arrival until all pops of the cycle have
 // freed buffer space.
 type pendingPush struct {
-	to *fifo
+	to *queue[flit]
 	f  flit
 }
 
@@ -246,14 +216,16 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		cfg:             cfg,
 		routers:         make([]*router, n),
 		sinks:           make([]Sink, n),
-		injectQ:         make([][]flit, n),
+		injectQ:         make([]queue[flit], n),
 		AcceptedPackets: make([]int64, n),
 		AcceptedFlits:   make([]int64, n),
+		moves:           make([]move, 0, n*numPorts),
+		pushes:          make([]pendingPush, 0, n*numPorts),
 	}
 	for i := range m.routers {
 		r := &router{node: i}
 		for p := range r.in {
-			r.in[p].cap = cfg.BufferFlits
+			r.in[p] = newQueue[flit](cfg.BufferFlits)
 		}
 		for p := range r.outOwner {
 			r.outOwner[p] = -1
@@ -276,7 +248,7 @@ func (m *Mesh) Config() MeshConfig { return m.cfg }
 func (m *Mesh) VisitFIFOs(fn func(node, port, occupancy, capacity int)) {
 	for node, r := range m.routers {
 		for p := 0; p < numPorts; p++ {
-			fn(node, p, len(r.in[p].q), r.in[p].cap)
+			fn(node, p, r.in[p].len(), m.cfg.BufferFlits)
 		}
 	}
 }
@@ -357,16 +329,13 @@ func (m *Mesh) Inject(src, dst, flits int) (*Packet, error) {
 	}
 	m.nextID++
 	p := &Packet{ID: m.nextID, Src: src, Dst: dst, Flits: flits, CreatedAt: m.cycle}
-	for s := 0; s < flits; s++ {
-		//lint:ignore hotpathalloc injection-queue growth is caller-throttled via PendingInjection and the per-cycle drain compacts in place, keeping capacity; steady-state injects are alloc-free
-		m.injectQ[src] = append(m.injectQ[src], flit{pkt: p, seq: s, tail: s == flits-1})
-	}
+	pushPacket(&m.injectQ[src], p)
 	return p, nil
 }
 
 // PendingInjection returns the number of flits queued for injection at a
 // node (source-queue occupancy).
-func (m *Mesh) PendingInjection(node int) int { return len(m.injectQ[node]) }
+func (m *Mesh) PendingInjection(node int) int { return m.injectQ[node].len() }
 
 // Step advances the simulation by one cycle: output arbitration and flit
 // movement across every router, then source-queue injection.
@@ -396,7 +365,7 @@ func (m *Mesh) Step() {
 				continue
 			}
 			df := &m.routers[next].in[inPort]
-			if df.full() {
+			if df.len() >= m.cfg.BufferFlits {
 				m.obs.stallCredit.Inc()
 				continue
 			}
@@ -433,40 +402,30 @@ func (m *Mesh) Step() {
 		p.to.push(p.f)
 	}
 
-	// Phase 3: source-queue injection into the local input port. The
-	// queue is compacted down like fifo.pop: reslicing q[1:] would pin
-	// drained packets and erode the append capacity of a queue that
-	// Inject refills every cycle.
-	for node, q := range m.injectQ {
-		if len(q) == 0 {
+	// Phase 3: source-queue injection into the local input port.
+	for node := range m.injectQ {
+		q := &m.injectQ[node]
+		if q.len() == 0 {
 			continue
 		}
 		in := &m.routers[node].in[portLocal]
-		if in.full() {
+		if in.len() >= m.cfg.BufferFlits {
 			continue
 		}
-		in.push(q[0])
+		in.push(q.pop())
 		m.obs.buffered++
-		n := copy(q, q[1:])
-		q[n] = flit{}
-		m.injectQ[node] = q[:n]
 	}
 	m.obs.occupancy.Observe(m.obs.buffered)
 	m.cycle++
 }
 
-// commitGrant records wormhole ownership of an output by an input. The
-// round-robin pointer advances here, on a committed head-flit grant, not
-// in pickInput: a pick can still lose to sink refusal or exhausted
-// downstream credit, and rotating priority past an unserved input skews
-// fairness under back-pressure (see
-// TestRoundRobinPointerHoldsOnRefusedGrant).
+// commitGrant records wormhole ownership of an output by an input. A
+// head-flit grant is where the round-robin pointer moves, not
+// pickInput (see Arbiter.commit).
 func (m *Mesh) commitGrant(r *router, out, in int, f *flit) {
-	if f.seq == 0 {
+	if f.head {
 		r.outOwner[out] = in
-		if m.cfg.Arbiter == RoundRobin {
-			r.rr[out] = in
-		}
+		m.cfg.Arbiter.commit(&r.rr[out], in)
 	}
 }
 
@@ -474,45 +433,30 @@ func (m *Mesh) commitGrant(r *router, out, in int, f *flit) {
 func (m *Mesh) pickInput(r *router, out int) int {
 	// An owned output only accepts the owner's next flit, in order.
 	if owner := r.outOwner[out]; owner >= 0 {
-		if r.in[owner].empty() {
+		if r.in[owner].len() == 0 {
 			return -1
 		}
 		return owner
 	}
-	// Free output: head flits (seq 0) requesting it compete.
-	switch m.cfg.Arbiter {
-	case AgeBased:
-		// Oldest packet wins; an exact age tie breaks to the lowest
-		// packet ID (the earliest-injected packet), never to the scan
-		// order — see TestAgeBasedEqualAgeTieBreaksToLowestID.
-		best, bestAge, bestID := -1, int64(math.MaxInt64), uint64(math.MaxUint64)
-		for p := 0; p < numPorts; p++ {
-			if r.in[p].empty() {
-				continue
-			}
-			f := r.in[p].head()
-			if f.seq != 0 || m.route(r.node, f.pkt.Dst) != out {
-				continue
-			}
-			if f.pkt.CreatedAt < bestAge || (f.pkt.CreatedAt == bestAge && f.pkt.ID < bestID) {
-				best, bestAge, bestID = p, f.pkt.CreatedAt, f.pkt.ID
-			}
+	// Free output: head flits requesting it compete.
+	k := newContest(m.cfg.Arbiter)
+	p := r.rr[out]
+	for i := 0; i < numPorts; i++ {
+		if p++; p == numPorts {
+			p = 0
 		}
-		return best
-	default: // RoundRobin
-		for i := 1; i <= numPorts; i++ {
-			p := (r.rr[out] + i) % numPorts
-			if r.in[p].empty() {
-				continue
-			}
-			f := r.in[p].head()
-			if f.seq != 0 || m.route(r.node, f.pkt.Dst) != out {
-				continue
-			}
-			return p
+		if r.in[p].len() == 0 {
+			continue
 		}
-		return -1
+		f := r.in[p].head()
+		if !f.head || m.route(r.node, f.pkt.Dst) != out {
+			continue
+		}
+		if k.offer(p, f.pkt) {
+			break
+		}
 	}
+	return k.best
 }
 
 // Run advances the simulation by n cycles.
@@ -524,13 +468,13 @@ func (m *Mesh) Run(n int) {
 
 // Drained reports whether the network and all source queues are empty.
 func (m *Mesh) Drained() bool {
-	for node, q := range m.injectQ {
-		if len(q) > 0 {
+	for node := range m.injectQ {
+		if m.injectQ[node].len() > 0 {
 			return false
 		}
 		r := m.routers[node]
 		for p := 0; p < numPorts; p++ {
-			if !r.in[p].empty() {
+			if r.in[p].len() > 0 {
 				return false
 			}
 		}

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"math"
 
 	"gpunoc/internal/obs"
 )
@@ -49,19 +48,14 @@ func (c XbarConfig) Validate() error {
 	return nil
 }
 
-// xbarFlit is one flow-control unit in the crossbar.
-type xbarFlit struct {
-	pkt  *Packet
-	tail bool
-}
-
 // Xbar is the cycle-driven hierarchical crossbar simulator.
 type Xbar struct {
 	cfg XbarConfig
 	// injectQ[node] holds flits awaiting the node's hub link.
-	injectQ [][]xbarFlit
-	// voq[cluster][port] is the hub's virtual output queue.
-	voq [][][]xbarFlit
+	injectQ []queue[flit]
+	// voq[cluster][port] is the hub's virtual output queue, bounded at
+	// VOQDepth.
+	voq [][]queue[flit]
 	// rrNode[cluster] and rrHub[port] are round-robin pointers.
 	rrNode []int
 	rrHub  []int
@@ -76,7 +70,8 @@ type Xbar struct {
 	// obs is the optional instrument set; see Observe. All instruments
 	// are nil-safe no-ops while unobserved, so the hooks in Step cost a
 	// nil check and zero allocations in the disabled default (guarded
-	// by TestXbarStepSteadyStateDoesNotAllocate / BenchmarkXbarStep).
+	// by TestXbarStepSteadyStateDoesNotAllocate and perfbench's
+	// xbar_step).
 	obs xbarObs
 }
 
@@ -124,15 +119,18 @@ func NewXbar(cfg XbarConfig) (*Xbar, error) {
 	n := cfg.Clusters * cfg.NodesPerCluster
 	x := &Xbar{
 		cfg:             cfg,
-		injectQ:         make([][]xbarFlit, n),
-		voq:             make([][][]xbarFlit, cfg.Clusters),
+		injectQ:         make([]queue[flit], n),
+		voq:             make([][]queue[flit], cfg.Clusters),
 		rrNode:          make([]int, cfg.Clusters),
 		rrHub:           make([]int, cfg.MemPorts),
 		AcceptedPackets: make([]int64, n),
 		AcceptedFlits:   make([]int64, cfg.MemPorts),
 	}
 	for c := range x.voq {
-		x.voq[c] = make([][]xbarFlit, cfg.MemPorts)
+		x.voq[c] = make([]queue[flit], cfg.MemPorts)
+		for p := range x.voq[c] {
+			x.voq[c][p] = newQueue[flit](cfg.VOQDepth)
+		}
 	}
 	return x, nil
 }
@@ -152,7 +150,7 @@ func (x *Xbar) Config() XbarConfig { return x.cfg }
 func (x *Xbar) VisitVOQs(fn func(cluster, port, occupancy, depth int)) {
 	for c := range x.voq {
 		for p := range x.voq[c] {
-			fn(c, p, len(x.voq[c][p]), x.cfg.VOQDepth)
+			fn(c, p, x.voq[c][p].len(), x.cfg.VOQDepth)
 		}
 	}
 }
@@ -164,7 +162,7 @@ func (x *Xbar) ClusterOf(node int) int { return node / x.cfg.NodesPerCluster }
 func (x *Xbar) Cycle() int64 { return x.cycle }
 
 // PendingInjection returns the node's source-queue occupancy in flits.
-func (x *Xbar) PendingInjection(node int) int { return len(x.injectQ[node]) }
+func (x *Xbar) PendingInjection(node int) int { return x.injectQ[node].len() }
 
 // Inject queues a packet from node to memory port.
 func (x *Xbar) Inject(node, port, flits int) (*Packet, error) {
@@ -179,10 +177,7 @@ func (x *Xbar) Inject(node, port, flits int) (*Packet, error) {
 	}
 	x.nextID++
 	p := &Packet{ID: x.nextID, Src: node, Dst: port, Flits: flits, CreatedAt: x.cycle}
-	for s := 0; s < flits; s++ {
-		//lint:ignore hotpathalloc injection-queue growth is caller-throttled via PendingInjection and Step's copy-down drain keeps append capacity; steady-state injects are alloc-free
-		x.injectQ[node] = append(x.injectQ[node], xbarFlit{pkt: p, tail: s == flits-1})
-	}
+	pushPacket(&x.injectQ[node], p)
 	return p, nil
 }
 
@@ -197,22 +192,8 @@ func (x *Xbar) Step() {
 			if hub < 0 {
 				break
 			}
-			// Pop by compacting down: q = q[1:] would pin the drained
-			// flit's *Packet in the backing array and erode append
-			// capacity, reallocating every few cycles (the fifo.pop
-			// pattern).
-			q := x.voq[hub][port]
-			f := q[0]
-			n := copy(q, q[1:])
-			q[n] = xbarFlit{}
-			x.voq[hub][port] = q[:n]
-			// The round-robin pointer advances here, on the committed
-			// grant — pickHub is a pure pick. Same contract as the mesh's
-			// commitGrant: priority only rotates past a hub that was
-			// actually served.
-			if x.cfg.Arbiter == RoundRobin {
-				x.rrHub[port] = hub
-			}
+			f := x.voq[hub][port].pop()
+			x.cfg.Arbiter.commit(&x.rrHub[port], hub)
 			x.AcceptedFlits[port]++
 			x.obs.voqFlits--
 			if x.obs.portGrants != nil {
@@ -233,21 +214,16 @@ func (x *Xbar) Step() {
 			moved := false
 			for i := 0; i < x.cfg.NodesPerCluster; i++ {
 				node := base + (x.rrNode[c]+1+i)%x.cfg.NodesPerCluster
-				q := x.injectQ[node]
-				if len(q) == 0 {
+				q := &x.injectQ[node]
+				if q.len() == 0 {
 					continue
 				}
-				dst := q[0].pkt.Dst
-				if len(x.voq[c][dst]) >= x.cfg.VOQDepth {
+				voq := &x.voq[c][q.head().pkt.Dst]
+				if voq.len() >= x.cfg.VOQDepth {
 					x.obs.stallVOQ.Inc()
 					continue
 				}
-				//lint:ignore hotpathalloc VOQ occupancy is bounded by VOQDepth (checked above) and the port drain compacts in place, keeping capacity; steady-state appends are alloc-free
-				x.voq[c][dst] = append(x.voq[c][dst], q[0])
-				// Same compaction as the port drain above.
-				n := copy(q, q[1:])
-				q[n] = xbarFlit{}
-				x.injectQ[node] = q[:n]
+				voq.push(q.pop())
 				x.rrNode[c] = node - base
 				x.obs.voqFlits++
 				if x.obs.hubForwards != nil {
@@ -266,39 +242,20 @@ func (x *Xbar) Step() {
 }
 
 // pickHub selects the hub whose VOQ head wins memory port port, or -1.
+// It only picks: Step commits the grant, so the round-robin pointer
+// moves only past a hub that was served, as in the mesh.
 func (x *Xbar) pickHub(port int) int {
-	switch x.cfg.Arbiter {
-	case AgeBased:
-		// Oldest packet wins; an exact age tie breaks to the lowest
-		// packet ID, never to the cluster scan order (the same contract
-		// as the mesh arbiter — see TestXbarAgeBasedEqualAgeTieBreak).
-		best, bestAge, bestID := -1, int64(math.MaxInt64), uint64(math.MaxUint64)
-		for c := 0; c < x.cfg.Clusters; c++ {
-			q := x.voq[c][port]
-			if len(q) == 0 {
-				continue
-			}
-			pkt := q[0].pkt
-			if pkt.CreatedAt < bestAge || (pkt.CreatedAt == bestAge && pkt.ID < bestID) {
-				best, bestAge, bestID = c, pkt.CreatedAt, pkt.ID
-			}
+	k := newContest(x.cfg.Arbiter)
+	c := x.rrHub[port]
+	for i := 0; i < x.cfg.Clusters; i++ {
+		if c++; c == x.cfg.Clusters {
+			c = 0
 		}
-		return best
-	default:
-		// Pure pick: the pointer advances at the drain site in Step, only
-		// on an actual grant (aligned with the mesh's pickInput contract).
-		// In this topology every pick is drained the same cycle, so the
-		// split is behaviour-preserving; it keeps the two arbiters
-		// structurally identical so neither can drift into advancing on a
-		// masked candidate.
-		for i := 1; i <= x.cfg.Clusters; i++ {
-			c := (x.rrHub[port] + i) % x.cfg.Clusters
-			if len(x.voq[c][port]) > 0 {
-				return c
-			}
+		if q := &x.voq[c][port]; q.len() > 0 && k.offer(c, q.head().pkt) {
+			break
 		}
-		return -1
 	}
+	return k.best
 }
 
 // Run advances n cycles.
@@ -310,14 +267,14 @@ func (x *Xbar) Run(n int) {
 
 // Drained reports whether all queues are empty.
 func (x *Xbar) Drained() bool {
-	for _, q := range x.injectQ {
-		if len(q) > 0 {
+	for i := range x.injectQ {
+		if x.injectQ[i].len() > 0 {
 			return false
 		}
 	}
 	for _, hub := range x.voq {
-		for _, q := range hub {
-			if len(q) > 0 {
+		for p := range hub {
+			if hub[p].len() > 0 {
 				return false
 			}
 		}
